@@ -89,23 +89,7 @@ pub(crate) fn csend(comm: &Communicator, dest: usize, tag: i32, data: &[u8]) {
 /// the communicator's errhandler, so `MPI_ERRORS_RETURN` gets an `Err`
 /// and `MPI_ERRORS_ARE_FATAL` panics — never an unconditional panic.
 pub(crate) fn crecv(comm: &Communicator, src: usize, tag: i32) -> MpiResult<bytes::Bytes> {
-    let proc = &comm.proc;
-    let bits = match_bits::encode(comm.context_id().collective(), src, tag);
-    let payload = comm.handle_error(recv_raw(
-        proc,
-        bits,
-        Some(comm.world_rank_of(src)),
-        Some(comm.context_id().0),
-    ))?;
-    if let DecodedPayload::Rts { rndv_id, .. } = proto::decode(&payload).1 {
-        let data = comm.handle_error(proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
-            "rendezvous entry vanished (damaged or replayed RTS descriptor)",
-        )))?;
-        // The 17-byte RTS envelope is consumed: recycle it.
-        proc.pool_release(bits, payload);
-        return Ok(bytes::Bytes::from_storage(data));
-    }
-    Ok(proto::eager_view(&payload))
+    comm.handle_error(crecv_gated(comm, src, tag, Some(comm.context_id().0)))
 }
 
 /// FT-internal receive for the agreement protocol ([`crate::ft`]): like
@@ -114,13 +98,23 @@ pub(crate) fn crecv(comm: &Communicator, src: usize, tag: i32) -> MpiResult<byte
 /// communicator's errhandler — the protocol turns peer death into
 /// protocol state (a dead-mask bit), not an application error.
 pub(crate) fn crecv_ft(comm: &Communicator, src: usize, tag: i32) -> MpiResult<bytes::Bytes> {
+    crecv_gated(comm, src, tag, None)
+}
+
+/// The receive beneath [`crecv`] and [`crecv_ft`]; `revoke_ctx` as in
+/// [`recv_raw`].
+fn crecv_gated(
+    comm: &Communicator,
+    src: usize,
+    tag: i32,
+    revoke_ctx: Option<u16>,
+) -> MpiResult<bytes::Bytes> {
     let proc = &comm.proc;
     let bits = match_bits::encode(comm.context_id().collective(), src, tag);
-    let payload = recv_raw(proc, bits, Some(comm.world_rank_of(src)), None)?;
+    let payload = recv_raw(proc, bits, Some(comm.world_rank_of(src)), revoke_ctx)?;
     if let DecodedPayload::Rts { rndv_id, .. } = proto::decode(&payload).1 {
-        let data = proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
-            "rendezvous entry vanished (damaged or replayed RTS descriptor)",
-        ))?;
+        let data = proc.univ.pull_rndv(rndv_id)?;
+        // The 17-byte RTS envelope is consumed: recycle it.
         proc.pool_release(bits, payload);
         return Ok(bytes::Bytes::from_storage(data));
     }
@@ -365,7 +359,8 @@ pub fn reduce_flat<T: MpiPrimitive>(
     let size = comm.size();
     let rank = comm.rank();
     let tag = comm.next_coll_tag();
-    let mut acc: Vec<u8> = T::as_bytes(sendbuf).to_vec();
+    let mut out = sendbuf.to_vec();
+    let acc = T::as_bytes_mut(&mut out);
     let vrank = (rank + size - root) % size;
     // Gather up the binomial tree: at step k, vranks with bit k set send
     // their partial to vrank - 2^k and drop out.
@@ -373,19 +368,17 @@ pub fn reduce_flat<T: MpiPrimitive>(
     while k < size {
         if vrank & k != 0 {
             let dst = ((vrank - k) + root) % size;
-            csend(comm, dst, tag, &acc);
+            csend(comm, dst, tag, acc);
             break;
         } else if vrank + k < size {
             let src = ((vrank + k) + root) % size;
             let data = crecv(comm, src, tag)?;
             // Reduction order: accumulate the child's contribution.
-            op.apply(&T::DATATYPE, &mut acc, &data)?;
+            op.apply(&T::DATATYPE, acc, &data)?;
         }
         k <<= 1;
     }
     if rank == root {
-        let mut out = vec![sendbuf[0]; sendbuf.len()];
-        T::as_bytes_mut(&mut out).copy_from_slice(&acc);
         Ok(Some(out))
     } else {
         Ok(None)
@@ -421,17 +414,16 @@ pub fn allreduce_flat<T: MpiPrimitive>(
     let rank = comm.rank();
     if size.is_power_of_two() && size > 1 {
         let tag = comm.next_coll_tag();
-        let mut acc: Vec<u8> = T::as_bytes(sendbuf).to_vec();
+        let mut out = sendbuf.to_vec();
+        let acc = T::as_bytes_mut(&mut out);
         let mut k = 1usize;
         while k < size {
             let partner = rank ^ k;
-            csend(comm, partner, tag, &acc);
+            csend(comm, partner, tag, acc);
             let data = crecv(comm, partner, tag)?;
-            op.apply(&T::DATATYPE, &mut acc, &data)?;
+            op.apply(&T::DATATYPE, acc, &data)?;
             k <<= 1;
         }
-        let mut out = vec![sendbuf[0]; sendbuf.len()];
-        T::as_bytes_mut(&mut out).copy_from_slice(&acc);
         Ok(out)
     } else {
         let reduced = reduce_flat(comm, sendbuf, op, 0)?;

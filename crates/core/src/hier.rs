@@ -229,30 +229,27 @@ pub(crate) fn allreduce<T: MpiPrimitive>(
     let _span = CollSpan::begin(comm, coll_op::ALLREDUCE);
     let tag = comm.next_coll_tag();
     let ty = T::DATATYPE;
-    let mut acc: Vec<u8> = T::as_bytes(sendbuf).to_vec();
+    let mut out = sendbuf.to_vec();
+    let acc = T::as_bytes_mut(&mut out);
     if plan.my_slot == 0 {
         for &m in &plan.members[1..] {
             let data = crecv(comm, m, tag)?;
-            op.apply(&ty, &mut acc, &data)?;
+            op.apply(&ty, acc, &data)?;
         }
     } else {
-        csend(comm, plan.leader(), tag, &acc);
+        csend(comm, plan.leader(), tag, acc);
     }
     if let Some(li) = plan.leader_slot {
-        reduce_subset(comm, &plan.leaders, li, 0, op, &ty, &mut acc, tag)?;
-        bcast_subset(comm, &plan.leaders, li, 0, &mut acc, tag)?;
+        reduce_subset(comm, &plan.leaders, li, 0, op, &ty, acc, tag)?;
+        bcast_subset(comm, &plan.leaders, li, 0, acc, tag)?;
     }
     if plan.my_slot == 0 {
         for &m in &plan.members[1..] {
-            csend(comm, m, tag, &acc);
+            csend(comm, m, tag, acc);
         }
     } else {
-        let data = crecv(comm, plan.leader(), tag)?;
-        acc.clear();
-        acc.extend_from_slice(&data);
+        acc.copy_from_slice(&crecv(comm, plan.leader(), tag)?);
     }
-    let mut out = vec![sendbuf[0]; sendbuf.len()];
-    T::as_bytes_mut(&mut out).copy_from_slice(&acc);
     Ok(out)
 }
 
@@ -278,14 +275,15 @@ pub(crate) fn reduce<T: MpiPrimitive>(
     let tag = comm.next_coll_tag();
     let ty = T::DATATYPE;
     let me = comm.rank();
-    let mut acc: Vec<u8> = T::as_bytes(sendbuf).to_vec();
+    let mut out = sendbuf.to_vec();
+    let acc = T::as_bytes_mut(&mut out);
     if plan.my_slot == 0 {
         for &m in &plan.members[1..] {
             let data = crecv(comm, m, tag)?;
-            op.apply(&ty, &mut acc, &data)?;
+            op.apply(&ty, acc, &data)?;
         }
     } else {
-        csend(comm, plan.leader(), tag, &acc);
+        csend(comm, plan.leader(), tag, acc);
     }
     let root_leader = plan.leader_of[root];
     if let Some(li) = plan.leader_slot {
@@ -294,20 +292,16 @@ pub(crate) fn reduce<T: MpiPrimitive>(
             .iter()
             .position(|&l| l == root_leader)
             .expect("root's leader is a leader");
-        reduce_subset(comm, &plan.leaders, li, root_slot, op, &ty, &mut acc, tag)?;
+        reduce_subset(comm, &plan.leaders, li, root_slot, op, &ty, acc, tag)?;
     }
     if root != root_leader {
         if me == root_leader {
-            csend(comm, root, tag, &acc);
+            csend(comm, root, tag, acc);
         } else if me == root {
-            let data = crecv(comm, root_leader, tag)?;
-            acc.clear();
-            acc.extend_from_slice(&data);
+            acc.copy_from_slice(&crecv(comm, root_leader, tag)?);
         }
     }
     if me == root {
-        let mut out = vec![sendbuf[0]; sendbuf.len()];
-        T::as_bytes_mut(&mut out).copy_from_slice(&acc);
         Ok(Some(out))
     } else {
         Ok(None)

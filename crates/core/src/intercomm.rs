@@ -224,10 +224,7 @@ impl InterComm {
         // in place, or share the staged rendezvous payload.
         let wire: bytes::Bytes = if let DecodedPayload::Rts { rndv_id, .. } = proto::decode(&data).1
         {
-            let staged = proc
-                .univ
-                .pull_rndv(rndv_id)
-                .expect("rendezvous entry vanished");
+            let staged = proc.univ.pull_rndv(rndv_id)?;
             proc.pool_release(mbits, data);
             bytes::Bytes::from_storage(staged)
         } else {

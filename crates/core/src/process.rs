@@ -368,7 +368,7 @@ impl ProcInner {
                     .endpoint
                     .fabric()
                     .region(win.local_key(self.rank))
-                    .read(h1 as usize, h2 as usize);
+                    .read_with(h1 as usize, h2 as usize, <[u8]>::to_vec);
                 self.endpoint.am_send(
                     am.src,
                     proto::AM_RMA_GET_REPLY,

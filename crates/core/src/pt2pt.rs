@@ -400,23 +400,23 @@ pub(crate) fn isend_impl(
             }
             Ok(Request::done(Status::send()))
         } else {
-            litempi_instr::note_alloc(1);
-            let data: Vec<u8> = if ty.is_contiguous() {
-                buf[..wire_len].to_vec()
-            } else {
-                pack::pack(ty, count, buf)
-            };
             let caps = fabric.profile();
             let (done, payload) = if caps.rma_rendezvous && caps.caps.native_rdma {
-                // foMPI-style RDMA rendezvous: stage the wire bytes in a
-                // registered region leased from the per-peer pin-down
-                // cache; the receiver RDMA-reads them at match time, no
-                // pull-table round trip through the progress engine.
+                // foMPI-style RDMA rendezvous: pack the wire bytes once into
+                // a registered region leased from the per-peer pin-down
+                // cache; the receiver RDMA-reads them in place at match
+                // time, no pull-table round trip through the progress engine.
                 charge(Category::Rma, cost::rma::RNDV_EXPOSE);
                 let region = proc
                     .endpoint
                     .reg_acquire(proc.addr_of_world(dest_world), wire_len);
-                region.write(0, &data);
+                region.update(0, wire_len, |dst| {
+                    if ty.is_contiguous() {
+                        dst.copy_from_slice(&buf[..wire_len]);
+                    } else {
+                        pack::pack_into(ty, count, buf, dst);
+                    }
+                });
                 let key = region.key().0;
                 let (rndv_id, done) = proc.univ.alloc_rndv_rma(region, proc.rank);
                 (
@@ -432,7 +432,13 @@ pub(crate) fn isend_impl(
                     Category::Progress,
                     (1 + cost::progress::rndv_chunks(wire_len)) * cost::progress::RNDV_STEP,
                 );
-                // The rendezvous table takes ownership — moved, never cloned.
+                // The rendezvous table takes an owned copy — moved, never cloned.
+                litempi_instr::note_alloc(1);
+                let data: Vec<u8> = if ty.is_contiguous() {
+                    buf[..wire_len].to_vec()
+                } else {
+                    pack::pack(ty, count, buf)
+                };
                 let (rndv_id, done) = proc.univ.alloc_rndv(data);
                 (done, proto::rts_payload(fabric, vci, rndv_id, wire_len))
             };

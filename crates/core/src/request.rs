@@ -92,21 +92,20 @@ impl RecvDest<'_> {
     }
 }
 
-/// Resolve a matched message (eager or rendezvous) into the destination
-/// buffer, producing the receive status. Consumes the wire payload so its
-/// storage can be recycled through the fabric's buffer pool — the step
-/// that keeps the eager pipeline allocation-free in steady state.
 /// Receiver side of the RDMA rendezvous: claim the table entry, validate
-/// the descriptor against it, RDMA-read the staged wire bytes, return the
-/// region to the origin's registration cache, and signal the sender.
-/// Descriptor damage (missing entry, key mismatch, oversize length)
-/// surfaces as [`MpiError::Integrity`], never a panic.
-pub(crate) fn fetch_rndv_rma(
+/// the descriptor against it, RDMA-read the staged wire bytes in place
+/// through `sink` (which lands them in the receive buffer), then return
+/// the region to the origin's registration cache and signal the sender,
+/// also when `sink` fails (e.g. `Truncate`). Descriptor damage (missing
+/// entry, key mismatch, oversize length) surfaces as
+/// [`MpiError::Integrity`], never a panic.
+pub(crate) fn fetch_rndv_rma<R>(
     proc: &ProcInner,
     rndv_id: u64,
     len: usize,
     key: u64,
-) -> MpiResult<Vec<u8>> {
+    sink: impl FnOnce(&[u8]) -> MpiResult<R>,
+) -> MpiResult<R> {
     use litempi_instr::{charge, cost, Category};
     let entry = proc.univ.take_rndv_rma(rndv_id).ok_or(MpiError::Integrity(
         "rdma-rendezvous entry vanished (damaged or replayed RTS descriptor)",
@@ -123,9 +122,9 @@ pub(crate) fn fetch_rndv_rma(
     }
     let origin_addr = proc.addr_of_world(entry.origin);
     charge(Category::Rma, cost::rma::RNDV_GET);
-    let data = proc
+    let out = proc
         .endpoint
-        .rdma_get(origin_addr, entry.region.key(), 0, len);
+        .rdma_get(origin_addr, entry.region.key(), 0, len, sink);
     // Lease back to the *origin's* pin-down cache, keyed by this rank (the
     // peer the origin acquired it for), so the sender's next large message
     // to us is a registration-cache hit.
@@ -134,9 +133,13 @@ pub(crate) fn fetch_rndv_rma(
         .endpoint(origin_addr)
         .reg_release(proc.addr_of_world(proc.rank), entry.region);
     entry.done.store(true, Ordering::Release);
-    Ok(data)
+    out
 }
 
+/// Resolve a matched message (eager or rendezvous) into the destination
+/// buffer, producing the receive status. Consumes the wire payload so its
+/// storage can be recycled through the fabric's buffer pool — the step
+/// that keeps the eager pipeline allocation-free in steady state.
 pub(crate) fn complete_recv(
     proc: &ProcInner,
     bits: u64,
@@ -156,14 +159,10 @@ pub(crate) fn complete_recv(
                 2 * litempi_instr::cost::progress::rndv_chunks(len)
                     * litempi_instr::cost::progress::RNDV_STEP,
             );
-            let data = proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
-                "rendezvous entry vanished (damaged or replayed RTS descriptor)",
-            ))?;
-            dest.deliver(&data)?
+            dest.deliver(&proc.univ.pull_rndv(rndv_id)?)?
         }
         DecodedPayload::RtsRma { rndv_id, len, key } => {
-            let data = fetch_rndv_rma(proc, rndv_id, len, key)?;
-            dest.deliver(&data)?
+            fetch_rndv_rma(proc, rndv_id, len, key, |wire| dest.deliver(wire))?
         }
     };
     proc.pool_release(bits, payload);

@@ -360,7 +360,8 @@ impl Window {
     /// Read my own exposed memory (the target side of a test).
     pub fn read_local(&self, offset: usize, len: usize) -> Vec<u8> {
         let key = self.shared.keys[self.comm.rank()];
-        self.proc().endpoint.fabric().region(key).read(offset, len)
+        let region = self.proc().endpoint.fabric().region(key);
+        region.read_with(offset, len, <[u8]>::to_vec)
     }
 
     /// Write my own exposed memory directly (initialization).
@@ -971,17 +972,28 @@ impl Window {
         let native = self.native_path(ty);
         self.charge_netmod(native);
         let world = self.comm.world_rank_of(t);
-        let wire: Vec<u8> = if native || epoch == EpochKind::Passive {
+        let mut unpack_into = |wire: &[u8]| {
+            if ty.is_contiguous() {
+                buf[..bytes].copy_from_slice(wire);
+            } else {
+                pack::unpack(ty, count, wire, buf);
+            }
+        };
+        if native || epoch == EpochKind::Passive {
             if epoch == EpochKind::Passive {
                 // Program order within the epoch: a get observes every
                 // earlier queued op from this origin.
                 self.apply_pending(t);
             }
-            let wire =
-                proc.endpoint
-                    .rdma_get(proc.addr_of_world(world), addr.key, addr.byte, bytes);
+            // The RDMA read lands straight in the user buffer.
+            proc.endpoint.rdma_get(
+                proc.addr_of_world(world),
+                addr.key,
+                addr.byte,
+                bytes,
+                unpack_into,
+            );
             self.note_sync_op(t);
-            wire
         } else {
             // AM get: request/reply through the target's progress engine.
             let op_id = proc
@@ -997,12 +1009,7 @@ impl Window {
             );
             self.sent_am[t].fetch_add(1, Ordering::AcqRel);
             self.note_sync_op(t);
-            wait_loop(proc, || slot.lock().take())
-        };
-        if ty.is_contiguous() {
-            buf[..bytes].copy_from_slice(&wire);
-        } else {
-            pack::unpack(ty, count, &wire, buf);
+            unpack_into(&wait_loop(proc, || slot.lock().take()));
         }
         Ok(())
     }
@@ -1340,10 +1347,13 @@ impl Window {
                 // Program order: the get observes earlier queued ops.
                 self.apply_pending(t);
             }
-            let wire =
-                proc.endpoint
-                    .rdma_get(proc.addr_of_world(world), addr.key, addr.byte, bytes);
-            T::as_bytes_mut(buf).copy_from_slice(&wire);
+            proc.endpoint.rdma_get(
+                proc.addr_of_world(world),
+                addr.key,
+                addr.byte,
+                bytes,
+                |wire| T::as_bytes_mut(buf).copy_from_slice(wire),
+            );
             self.note_sync_op(t);
             return Ok(Request::done(Status {
                 source: t as i32,
@@ -1622,7 +1632,7 @@ impl SharedWindow {
             .endpoint
             .fabric()
             .region(key)
-            .read(offset, len)
+            .read_with(offset, len, <[u8]>::to_vec)
     }
 
     /// `MPI_WIN_SYNC`: memory barrier between direct accesses. Our region

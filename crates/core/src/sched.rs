@@ -403,47 +403,27 @@ impl Schedule {
         dst: Option<Span>,
     ) -> MpiResult<()> {
         let (_, decoded) = proto::try_decode(&payload)?;
+        // Copy the wire bytes straight into the span (a span-less vertex
+        // only drains the message).
+        let mut land = |data: &[u8]| {
+            if let Some(s) = &dst {
+                if data.len() != s.len {
+                    return Err(MpiError::Truncate {
+                        message: data.len(),
+                        buffer: s.len,
+                    });
+                }
+                self.span_mut(s).copy_from_slice(data);
+            }
+            Ok(())
+        };
         match decoded {
-            DecodedPayload::Eager(data) => {
-                if let Some(s) = &dst {
-                    if data.len() != s.len {
-                        return Err(MpiError::Truncate {
-                            message: data.len(),
-                            buffer: s.len,
-                        });
-                    }
-                    let data = data.to_vec();
-                    self.span_mut(s).copy_from_slice(&data);
-                }
-            }
-            DecodedPayload::Rts { rndv_id, .. } => {
-                let data = proc.univ.pull_rndv(rndv_id).ok_or(MpiError::Integrity(
-                    "rendezvous entry vanished (damaged or replayed RTS descriptor)",
-                ))?;
-                if let Some(s) = &dst {
-                    if data.len() != s.len {
-                        return Err(MpiError::Truncate {
-                            message: data.len(),
-                            buffer: s.len,
-                        });
-                    }
-                    self.span_mut(s).copy_from_slice(&data);
-                }
-            }
+            DecodedPayload::Eager(data) => land(data)?,
+            DecodedPayload::Rts { rndv_id, .. } => land(&proc.univ.pull_rndv(rndv_id)?)?,
+            // Schedule sends stage through the pull table today; handle the
+            // RDMA descriptor anyway so a mixed-path schedule stays correct.
             DecodedPayload::RtsRma { rndv_id, len, key } => {
-                // Schedule sends stage through the pull table today; handle
-                // the RDMA descriptor anyway so a mixed-path schedule stays
-                // correct.
-                let data = crate::request::fetch_rndv_rma(proc, rndv_id, len, key)?;
-                if let Some(s) = &dst {
-                    if data.len() != s.len {
-                        return Err(MpiError::Truncate {
-                            message: data.len(),
-                            buffer: s.len,
-                        });
-                    }
-                    self.span_mut(s).copy_from_slice(&data);
-                }
+                crate::request::fetch_rndv_rma(proc, rndv_id, len, key, land)?
             }
         }
         proc.pool_release(bits, payload);

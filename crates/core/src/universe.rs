@@ -8,6 +8,7 @@
 //! [`UnivShared`] — see each field for the real-MPI mechanism it stands for.
 
 use crate::config::BuildConfig;
+use crate::error::{MpiError, MpiResult};
 use crate::process::{ProcInner, Process};
 use litempi_fabric::{Fabric, NetAddr, ProviderProfile, Topology};
 use parking_lot::Mutex;
@@ -134,14 +135,15 @@ impl UnivShared {
     }
 
     /// Receiver side of the rendezvous pull: share the staged data (no
-    /// copy), signal the sender, drop the table entry. Returns `None` when
-    /// no entry exists — a damaged or replayed RTS descriptor, which the
-    /// receive path surfaces as an integrity error rather than a panic.
-    pub(crate) fn pull_rndv(&self, id: u64) -> Option<Arc<Vec<u8>>> {
-        let entry = self.rndv.lock().remove(&id)?;
-        let data = entry.data.clone();
+    /// copy), signal the sender, drop the table entry. A missing entry — a
+    /// damaged or replayed RTS descriptor — is an integrity error, never a
+    /// panic.
+    pub(crate) fn pull_rndv(&self, id: u64) -> MpiResult<Arc<Vec<u8>>> {
+        let entry = self.rndv.lock().remove(&id).ok_or(MpiError::Integrity(
+            "rendezvous entry vanished (damaged or replayed RTS descriptor)",
+        ))?;
         entry.done.store(true, Ordering::Release);
-        Some(data)
+        Ok(entry.data)
     }
 
     /// Park a registered region holding staged wire bytes in the
@@ -330,7 +332,7 @@ mod tests {
             let data = univ.pull_rndv(id).expect("entry present");
             assert_eq!(&*data, &vec![1, 2, 3]);
             assert!(done.load(Ordering::Acquire));
-            assert!(univ.pull_rndv(id).is_none(), "pull consumes the entry");
+            assert!(univ.pull_rndv(id).is_err(), "pull consumes the entry");
             true
         });
         assert!(out[0]);

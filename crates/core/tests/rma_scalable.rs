@@ -8,6 +8,7 @@
 use std::time::{Duration, Instant};
 
 use litempi_core::{waitall, BuildConfig, Errhandler, LockType, MpiError, Op, Universe, Window};
+use litempi_datatype::Datatype;
 use litempi_fabric::{FaultPlan, FaultSpec, ProviderProfile, ReliabilityConfig, Topology};
 use proptest::prelude::*;
 
@@ -445,6 +446,138 @@ fn rma_rendezvous_reads_remote_and_reuses_registrations() {
         stats[0].reg_cache_hits >= 1,
         "second large send must reuse the cached registration"
     );
+}
+
+/// Ship one strided message (send side: 2 of every 3 `i32`s; receive
+/// side: every other `i32`) and return rank 1's whole receive buffer,
+/// gaps included.
+fn strided_roundtrip(profile: ProviderProfile) -> Vec<u8> {
+    const BLOCKS: usize = 4096; // 32 KiB on the wire: rendezvous on ofi
+    let out = Universe::run(
+        2,
+        BuildConfig::ch4_default(),
+        profile,
+        Topology::single_node(2),
+        |proc| {
+            let world = proc.world();
+            if proc.rank() == 0 {
+                let ty = Datatype::vector(BLOCKS, 2, 3, &Datatype::INT32)
+                    .unwrap()
+                    .commit();
+                let src: Vec<u8> = (0..BLOCKS * 12).map(|i| (i % 251) as u8).collect();
+                world
+                    .isend_bytes(&src, &ty, 1, 1, 5)
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                None
+            } else {
+                let ty = Datatype::vector(2 * BLOCKS, 1, 2, &Datatype::INT32)
+                    .unwrap()
+                    .commit();
+                let mut dst = vec![0xEEu8; 2 * BLOCKS * 8];
+                let st = world
+                    .irecv_bytes(&mut dst, &ty, 1, 0, 5)
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                assert_eq!(st.bytes, BLOCKS * 8);
+                Some(dst)
+            }
+        },
+    );
+    out.into_iter().flatten().next().expect("rank 1 buffer")
+}
+
+#[test]
+fn rma_rendezvous_strided_types_match_pull_rendezvous() {
+    let rdma = strided_roundtrip(ProviderProfile::ofi());
+    let pull = strided_roundtrip(ProviderProfile::ofi().with_rma_rendezvous(false));
+    assert_eq!(rdma, pull);
+    // Element j of the receive layout is send element 3*(j/2) + j%2; the
+    // gaps between received elements keep their fill.
+    for (j, pair) in rdma.chunks(8).enumerate() {
+        let sent = 3 * (j / 2) + j % 2;
+        let want: Vec<u8> = (sent * 4..sent * 4 + 4).map(|i| (i % 251) as u8).collect();
+        assert_eq!(&pair[..4], &want[..], "element {j}");
+        assert_eq!(&pair[4..], &[0xEE; 4], "gap after element {j}");
+    }
+}
+
+#[test]
+fn rma_rendezvous_truncation_still_releases_the_region() {
+    let out = Universe::run(
+        2,
+        BuildConfig::ch4_default(),
+        ProviderProfile::ofi(),
+        Topology::single_node(2),
+        |proc| {
+            let world = proc.world();
+            world.set_errhandler(Errhandler::ErrorsReturn);
+            if proc.rank() == 0 {
+                // The receiver's read fails on its short buffer, yet the
+                // sender's request must still complete.
+                world.send(&vec![3u8; LARGE], 1, 1).unwrap();
+                let before = proc.comm_stats();
+                world.send(&vec![4u8; LARGE], 1, 2).unwrap();
+                let hits = proc.comm_stats().diff(&before).reg_cache_hits;
+                (hits, Vec::new())
+            } else {
+                let mut short = vec![0u8; LARGE / 2];
+                let err = world.recv_into(&mut short, 0, 1).unwrap_err();
+                assert!(
+                    matches!(err, MpiError::Truncate { message: LARGE, .. }),
+                    "{err:?}"
+                );
+                let mut buf = vec![0u8; LARGE];
+                world.recv_into(&mut buf, 0, 2).unwrap();
+                (0, buf)
+            }
+        },
+    );
+    assert_eq!(
+        out[0].0, 1,
+        "the truncated read must hand its region back to the sender's cache"
+    );
+    assert_eq!(out[1].1, vec![4u8; LARGE]);
+}
+
+#[test]
+fn steady_state_rma_rendezvous_allocations_are_pinned() {
+    const ROUNDS: u64 = 16;
+    let allocs = Universe::run(
+        2,
+        BuildConfig::ch4_default(),
+        ProviderProfile::ofi(),
+        Topology::single_node(2),
+        |proc| {
+            let world = proc.world();
+            let msg = vec![9u8; LARGE];
+            let mut buf = vec![0u8; LARGE];
+            let mut ack = [0u8; 1];
+            let mut round = || {
+                let probe = litempi_instr::probe();
+                if proc.rank() == 0 {
+                    world.send(&msg, 1, 1).unwrap();
+                    world.recv_into(&mut ack, 1, 2).unwrap();
+                } else {
+                    world.recv_into(&mut buf, 0, 1).unwrap();
+                    world.send(&ack, 0, 2).unwrap();
+                }
+                probe.allocs()
+            };
+            // Warm-up: registration cache and wire-buffer pools.
+            for _ in 0..4 {
+                round();
+            }
+            (0..ROUNDS).map(|_| round()).sum::<u64>()
+        },
+    );
+    // Per round the sender records one allocation (the rendezvous-table
+    // entry's shared handle) and the receiver none: the payload is packed
+    // once into the leased region and read in place, with no staging Vec
+    // on either side.
+    assert_eq!(allocs, vec![ROUNDS, 0]);
 }
 
 // ------------------------------------------- concurrent passive target

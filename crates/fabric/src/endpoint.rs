@@ -1278,15 +1278,23 @@ impl Endpoint {
         }
     }
 
-    /// One-sided read from a remote region.
-    pub fn rdma_get(&self, _dst: NetAddr, key: RegionKey, offset: usize, len: usize) -> Vec<u8> {
+    /// One-sided read from a remote region: `sink` sees the remote bytes in
+    /// place and lands them straight in the caller's memory, no staging.
+    pub fn rdma_get<R>(
+        &self,
+        _dst: NetAddr,
+        key: RegionKey,
+        offset: usize,
+        len: usize,
+        sink: impl FnOnce(&[u8]) -> R,
+    ) -> R {
         let my = self.shared(self.addr);
         EndpointStats::bump(&my.stats.rdma_gets, 1);
         EndpointStats::bump(&my.stats.rdma_bytes, len as u64);
         if my.trace_enabled {
             litempi_trace::emit(EventKind::GetBegin, key.0, len as u64);
         }
-        let out = self.fabric.region(key).read(offset, len);
+        let out = self.fabric.region(key).read_with(offset, len, sink);
         if my.trace_enabled {
             litempi_trace::emit(EventKind::GetComplete, key.0, 0);
         }
@@ -1526,9 +1534,10 @@ mod tests {
         let b = f.endpoint(NetAddr(1));
         let region = b.register(64);
         a.rdma_put(NetAddr(1), region.key(), 8, &[9, 9, 9]);
-        assert_eq!(a.rdma_get(NetAddr(1), region.key(), 8, 3), vec![9, 9, 9]);
+        let got = a.rdma_get(NetAddr(1), region.key(), 8, 3, <[u8]>::to_vec);
+        assert_eq!(got, vec![9, 9, 9]);
         // Target sees it too, with no target-side code having run.
-        assert_eq!(region.read(8, 3), vec![9, 9, 9]);
+        assert_eq!(region.read_with(8, 3, <[u8]>::to_vec), vec![9, 9, 9]);
     }
 
     #[test]

@@ -87,8 +87,9 @@ impl MemoryRegion {
         mem[offset..end].copy_from_slice(data);
     }
 
-    /// One-sided read of `len` bytes at `offset`.
-    pub fn read(&self, offset: usize, len: usize) -> Vec<u8> {
+    /// One-sided read of `len` bytes at `offset`, handed to `f` in place
+    /// under the region lock (`<[u8]>::to_vec` for an owned copy).
+    pub fn read_with<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         let mem = self.inner.mem.lock();
         let end = offset.checked_add(len).expect("rdma read overflow");
         assert!(
@@ -96,7 +97,7 @@ impl MemoryRegion {
             "rdma read out of registered range ({end} > {})",
             mem.len()
         );
-        mem[offset..end].to_vec()
+        f(&mem[offset..end])
     }
 
     /// Read-modify-write under `f`, holding the region lock for the whole
@@ -218,12 +219,16 @@ mod tests {
         MemoryRegion::new(RegionKey(1), len)
     }
 
+    fn read(r: &MemoryRegion, offset: usize, len: usize) -> Vec<u8> {
+        r.read_with(offset, len, <[u8]>::to_vec)
+    }
+
     #[test]
     fn write_then_read() {
         let r = region(16);
         r.write(4, &[1, 2, 3, 4]);
-        assert_eq!(r.read(4, 4), vec![1, 2, 3, 4]);
-        assert_eq!(r.read(0, 4), vec![0, 0, 0, 0]);
+        assert_eq!(read(&r, 4, 4), vec![1, 2, 3, 4]);
+        assert_eq!(read(&r, 0, 4), vec![0, 0, 0, 0]);
     }
 
     #[test]
@@ -235,7 +240,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of registered range")]
     fn read_past_end_panics() {
-        region(8).read(8, 1);
+        read(&region(8), 8, 1);
     }
 
     #[test]
@@ -243,7 +248,7 @@ mod tests {
         let r = region(0);
         assert!(r.is_empty());
         r.write(0, &[]); // zero-byte access at offset 0 is fine
-        assert_eq!(r.read(0, 0), Vec::<u8>::new());
+        assert_eq!(read(&r, 0, 0), Vec::<u8>::new());
     }
 
     #[test]
@@ -252,7 +257,7 @@ mod tests {
         r.write(0, &5u64.to_le_bytes());
         let prev = r.atomic(0, RdmaAtomicOp::AddU64, 7, 0);
         assert_eq!(prev, 5);
-        assert_eq!(u64::from_le_bytes(r.read(0, 8).try_into().unwrap()), 12);
+        assert_eq!(u64::from_le_bytes(read(&r, 0, 8).try_into().unwrap()), 12);
     }
 
     #[test]
@@ -261,11 +266,11 @@ mod tests {
         r.write(0, &10u64.to_le_bytes());
         let prev = r.atomic(0, RdmaAtomicOp::CasU64, 99, 10);
         assert_eq!(prev, 10);
-        assert_eq!(u64::from_le_bytes(r.read(0, 8).try_into().unwrap()), 99);
+        assert_eq!(u64::from_le_bytes(read(&r, 0, 8).try_into().unwrap()), 99);
         // Failing CAS leaves the value alone.
         let prev = r.atomic(0, RdmaAtomicOp::CasU64, 7, 10);
         assert_eq!(prev, 99);
-        assert_eq!(u64::from_le_bytes(r.read(0, 8).try_into().unwrap()), 99);
+        assert_eq!(u64::from_le_bytes(read(&r, 0, 8).try_into().unwrap()), 99);
     }
 
     #[test]
@@ -273,7 +278,7 @@ mod tests {
         let r = region(8);
         r.write(0, &1.5f64.to_bits().to_le_bytes());
         r.atomic(0, RdmaAtomicOp::AddF64, 2.25f64.to_bits(), 0);
-        let v = f64::from_bits(u64::from_le_bytes(r.read(0, 8).try_into().unwrap()));
+        let v = f64::from_bits(u64::from_le_bytes(read(&r, 0, 8).try_into().unwrap()));
         assert_eq!(v, 3.75);
     }
 
@@ -283,7 +288,7 @@ mod tests {
         r.write(0, &3u64.to_le_bytes());
         assert_eq!(r.atomic(0, RdmaAtomicOp::SwapU64, 8, 0), 3);
         assert_eq!(r.atomic(0, RdmaAtomicOp::MaxU64, 5, 0), 8);
-        assert_eq!(u64::from_le_bytes(r.read(0, 8).try_into().unwrap()), 8);
+        assert_eq!(u64::from_le_bytes(read(&r, 0, 8).try_into().unwrap()), 8);
     }
 
     #[test]
@@ -294,7 +299,7 @@ mod tests {
                 *b = 0xAA;
             }
         });
-        assert_eq!(r.read(0, 4), vec![0xAA; 4]);
+        assert_eq!(read(&r, 0, 4), vec![0xAA; 4]);
     }
 
     #[test]
@@ -339,6 +344,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(u64::from_le_bytes(r.read(0, 8).try_into().unwrap()), 4000);
+        assert_eq!(u64::from_le_bytes(read(&r, 0, 8).try_into().unwrap()), 4000);
     }
 }
